@@ -6,11 +6,14 @@
 //!
 //! The suite covers every Iterate strategy the planner can choose: FD
 //! (BlockPairs), CFD (BlockPairs with conditioned detect), DC with
-//! inequalities (OCJoin), and a dedup UDF both blocked (BlockPairs) and
-//! unblocked (UCrossProduct).
+//! inequalities (OCJoin), a dedup UDF both blocked (BlockPairs) and
+//! unblocked (UCrossProduct), a list UDF (BlockList), and an
+//! order-sensitive UDF both blocked (ordered BlockPairs) and unblocked
+//! (CrossProduct). LSH blocking has its own suite in `tests/lsh.rs`.
 
 use bigdansing::{
-    apply_batch_to_table, BigDansing, CleanseOptions, DedupRule, DeltaBatch, Session,
+    apply_batch_to_table, BigDansing, BlockKey, CleanseOptions, DedupRule, DeltaBatch, Fix,
+    Session, UdfRule, UnitKind, Violation,
 };
 use bigdansing_common::{Schema, Table, Value};
 use std::sync::Arc;
@@ -251,4 +254,89 @@ fn bench_style_win_on_small_delta() {
         report.tuples_reprocessed
     );
     assert!(report.converged);
+}
+
+/// A list rule (BlockList strategy): every tuple of one zipcode block
+/// must carry the block's first city. The violation lists the cells in
+/// block order, so the session must rebuild each dirty block in table
+/// order for its store to match a full detect byte for byte.
+fn city_consensus_rule() -> UdfRule {
+    UdfRule::builder("udf:city-consensus", |unit| {
+        let block = unit.tuples();
+        let first = block[0].value(1);
+        if block.iter().all(|t| t.value(1) == first) {
+            return Vec::new();
+        }
+        let mut v = Violation::new("udf:city-consensus");
+        for t in block {
+            v.add_cell(t.cell(1), t.value(1).clone());
+        }
+        vec![v]
+    })
+    .unit_kind(UnitKind::List)
+    .block(|t| Some(BlockKey::single(t.value(0).clone())))
+    .gen_fix(|v| {
+        let (first, city) = &v.cells()[0];
+        v.cells()[1..]
+            .iter()
+            .filter(|(_, old)| old != city)
+            .map(|(cell, old)| Fix::assign_cell(*cell, old.clone(), *first, city.clone()))
+            .collect()
+    })
+    .build()
+}
+
+/// An order-sensitive pair rule: a higher salary must not pay a lower
+/// rate, fixed by raising the first tuple's rate to the second's. Not
+/// symmetric and without ordering conditions, so it runs as ordered
+/// BlockPairs when it blocks and as a plain CrossProduct when it does
+/// not.
+fn pay_order_rule(blocked: bool) -> UdfRule {
+    let builder = UdfRule::builder("udf:pay-order", |unit| {
+        let (a, b) = unit.as_pair();
+        if a.value(2) > b.value(2) && a.value(3) < b.value(3) {
+            vec![Violation::new("udf:pay-order")
+                .with_cell(a.cell(3), a.value(3).clone())
+                .with_cell(b.cell(3), b.value(3).clone())]
+        } else {
+            Vec::new()
+        }
+    })
+    .symmetric(false)
+    .gen_fix(|v| {
+        let (cell, old) = &v.cells()[0];
+        let (_, raised) = &v.cells()[1];
+        vec![Fix::assign_const(*cell, old.clone(), raised.clone())]
+    });
+    if blocked {
+        builder
+            .block(|t| Some(BlockKey::single(t.value(0).clone())))
+            .build()
+    } else {
+        builder.build()
+    }
+}
+
+#[test]
+fn block_list_udf_session_matches_full_recompute() {
+    let base = tax_table();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(city_consensus_rule()));
+    assert_oracle_parity(&sys, &base, mixed_batches());
+}
+
+#[test]
+fn ordered_block_pairs_session_matches_full_recompute() {
+    let base = tax_table();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(pay_order_rule(true)));
+    assert_oracle_parity(&sys, &base, mixed_batches());
+}
+
+#[test]
+fn cross_product_session_matches_full_recompute() {
+    let base = tax_table();
+    let mut sys = BigDansing::parallel(2);
+    sys.add_rule(Arc::new(pay_order_rule(false)));
+    assert_oracle_parity(&sys, &base, mixed_batches());
 }
