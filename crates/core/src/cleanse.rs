@@ -8,78 +8,19 @@
 //! are *frozen* and excluded from further updates.
 
 use bigdansing_common::metrics::Metrics;
-use bigdansing_common::{Cell, Error, LshParams, Result, Table, Value};
-use bigdansing_dataflow::bulkhead::{Bulkhead, IsolationOptions, RuleGuard};
-use bigdansing_plan::physical::{pipeline_for_rule, IterateStrategy};
+use bigdansing_common::{Error, Result, Table};
+use bigdansing_dataflow::bulkhead::{Bulkhead, RuleGuard};
+use bigdansing_plan::physical::pipeline_for_rule;
 use bigdansing_plan::{DetectOutput, Executor};
-use bigdansing_repair::{blackbox::RepairOptions, run_repair, Assignment};
+use bigdansing_repair::{repair_round, FreezeCounter};
 use bigdansing_rules::Rule;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-// Strategy selection lives in the repair crate so the incremental
-// session (which cannot depend on this crate) shares the exact same
-// dispatch; re-exported here for source compatibility.
+// The options and strategy selection live in the crates below this one
+// so the incremental session (which cannot depend on this crate) shares
+// them exactly; re-exported here for source compatibility.
+pub use bigdansing_incremental::{validate_lsh_override, CleanseOptions};
 pub use bigdansing_repair::RepairStrategy;
-
-/// Options for [`cleanse_loop`].
-#[derive(Debug, Clone)]
-pub struct CleanseOptions {
-    /// Maximum detect ⇄ repair iterations.
-    pub max_iterations: usize,
-    /// Freeze threshold: after this many updates a cell stops changing
-    /// (the paper's "special variable" guaranteeing termination).
-    pub max_changes_per_cell: usize,
-    /// Repair strategy.
-    pub strategy: RepairStrategy,
-    /// Options forwarded to the parallel black-box driver.
-    pub repair_options: RepairOptions,
-    /// Rule-isolation knobs: strict-vs-partial fault mode, per-rule
-    /// soft time budget, outlier-block threshold, breaker tuning.
-    pub isolation: IsolationOptions,
-    /// Violation window for *incremental sessions* opened through
-    /// [`crate::BigDansing::open_session`] and friends: arriving
-    /// records get logical event times and tuples behind the watermark
-    /// are retired with their violations retracted. Ignored by the
-    /// batch [`cleanse_loop`] (a one-shot table has no stream to
-    /// window).
-    pub window: Option<bigdansing_incremental::WindowSpec>,
-    /// Job-level override of the MinHash/LSH banding geometry. Applies
-    /// to every registered similarity rule (a rule whose
-    /// [`Rule::lsh`] is `Some`); a job that sets this while no
-    /// registered rule declares LSH blocking is rejected up front —
-    /// the override would silently do nothing.
-    pub lsh: Option<LshParams>,
-}
-
-impl Default for CleanseOptions {
-    fn default() -> Self {
-        CleanseOptions {
-            max_iterations: 10,
-            max_changes_per_cell: 3,
-            strategy: RepairStrategy::default(),
-            repair_options: RepairOptions::default(),
-            isolation: IsolationOptions::default(),
-            window: None,
-            lsh: None,
-        }
-    }
-}
-
-/// Reject a job-level LSH override that no rule can honour: the
-/// banding geometry only applies to similarity rules, so if none of
-/// the registered rules declares LSH blocking the override is a
-/// configuration mistake, not a no-op.
-pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) -> Result<()> {
-    if options.lsh.is_some() && !rules.iter().any(|r| r.lsh().is_some()) {
-        return Err(Error::Repair(
-            "LSH blocking options apply only to similarity rules, but no registered rule \
-             declares LSH blocking — register a dedup/similarity rule or drop the LSH options"
-                .into(),
-        ));
-    }
-    Ok(())
-}
 
 /// One rule's health at the end of a cleansing run.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,18 +130,7 @@ fn detect_round(
         if !bulkhead.admit(&name) {
             continue;
         }
-        let mut pipeline = pipeline_for_rule(Arc::clone(rule), table.name());
-        if let (
-            Some(p),
-            IterateStrategy::LshBlocks {
-                bands,
-                rows_per_band,
-            },
-        ) = (options.lsh, &mut pipeline.strategy)
-        {
-            *bands = p.bands;
-            *rows_per_band = p.rows_per_band;
-        }
+        let pipeline = pipeline_for_rule(Arc::clone(rule), table.name(), options.lsh);
         let guard = RuleGuard::arm(&name, iso);
         let run = executor.run_pipeline_guarded(data.try_duplicate()?, &pipeline, Some(&guard));
         trackers[i].units_processed += guard.units_processed();
@@ -271,6 +201,8 @@ fn health_report(bulkhead: &Bulkhead, trackers: &[RuleTracker]) -> CleanseOutcom
 /// under its own circuit breaker and guard, a quarantined rule's
 /// violations are excluded from repair, and the returned
 /// [`CleanseResult::outcome`] attributes what was lost to which rule.
+///
+/// [`IsolationOptions::partial`]: bigdansing_dataflow::IsolationOptions::partial
 pub fn cleanse_loop(
     executor: &Executor,
     rules: &[Arc<dyn Rule>],
@@ -297,7 +229,7 @@ pub fn cleanse_loop(
         })
         .collect();
     let mut current = table.clone();
-    let mut change_count: HashMap<Cell, usize> = HashMap::new();
+    let mut freeze = FreezeCounter::new(options.max_changes_per_cell);
     let mut result = CleanseResult {
         table: current.clone(),
         iterations: 0,
@@ -327,41 +259,23 @@ pub fn cleanse_loop(
         result.iterations += 1;
         result.total_violations += detected.violation_count();
 
-        let assignment: Assignment = run_repair(
+        let round = repair_round(
             executor.engine(),
             &detected.detected,
             &options.strategy,
             options.repair_options,
+            &mut freeze,
+            |cell| current.cell_value(cell),
         )?;
-
-        // apply, honoring frozen cells and counting changes
-        let mut applicable: HashMap<Cell, Value> = HashMap::new();
-        for (cell, value) in assignment {
-            let count = change_count.entry(cell).or_insert(0);
-            if *count >= options.max_changes_per_cell {
-                continue; // frozen
-            }
-            if current.cell_value(cell) == Some(&value) {
-                continue; // no-op
-            }
-            *count += 1;
-            if *count == options.max_changes_per_cell {
-                result.frozen_cells += 1;
-            }
-            applicable.insert(cell, value);
-        }
-        if applicable.is_empty() {
+        result.frozen_cells += round.frozen;
+        if round.updates.is_empty() {
             // only violations with no (applicable) fixes remain: the
             // paper's second termination condition
             break;
         }
-        for (cell, value) in &applicable {
-            if let Some(old) = current.cell_value(*cell) {
-                result.repair_cost += old.distance(value);
-            }
-        }
-        result.cells_changed += applicable.len();
-        current = current.apply(&applicable)?;
+        result.repair_cost += round.cost;
+        result.cells_changed += round.updates.len();
+        current = current.apply(&round.updates)?;
     }
     if !result.converged {
         result.converged = detect_round(
@@ -382,10 +296,12 @@ pub fn cleanse_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigdansing_common::Schema;
+    use bigdansing_common::{LshParams, Schema, Value};
+    use bigdansing_dataflow::bulkhead::IsolationOptions;
     use bigdansing_dataflow::Engine;
     use bigdansing_repair::{EquivalenceClassRepair, HypergraphRepair};
     use bigdansing_rules::{DcRule, DedupRule, FdRule, UdfRule, UnitKind};
+    use std::collections::HashMap;
 
     fn fd_table() -> Table {
         let schema = Schema::parse("zipcode,city");

@@ -74,7 +74,7 @@ pub use bigdansing_common::{
 };
 pub use bigdansing_incremental::{
     apply_batch_to_table, read_snapshot_table, DeltaBatch, DeltaOp, DeltaReport, DurabilityOptions,
-    RecoverStats, Session, SessionOptions, WindowSpec,
+    RecoverStats, Session, WindowSpec,
 };
 
 pub use bigdansing_dataflow::{

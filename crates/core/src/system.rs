@@ -6,9 +6,7 @@ use crate::cleanse::{cleanse_loop, CleanseOptions, CleanseResult};
 use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Error, Result, Schema, Table};
 use bigdansing_dataflow::Engine;
-use bigdansing_incremental::{
-    DeltaBatch, DeltaReport, DurabilityOptions, RecoverStats, Session, SessionOptions,
-};
+use bigdansing_incremental::{DeltaBatch, DeltaReport, DurabilityOptions, RecoverStats, Session};
 use bigdansing_plan::{physical, DetectOutput, Executor, Job};
 use bigdansing_rules::{CfdRule, DcRule, FdRule, Rule};
 use std::collections::HashMap;
@@ -288,21 +286,7 @@ impl BigDansing {
     /// detect as a governed job (admission, deadline, cancellation).
     pub fn open_session(&self, table: &Table, options: CleanseOptions) -> Result<Session> {
         self.governed("session-open", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
-            Session::new(
-                self.executor.clone(),
-                self.rules.clone(),
-                table,
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
-            )
+            Session::new(self.executor.clone(), self.rules.clone(), table, options)
         })
     }
 
@@ -320,20 +304,11 @@ impl BigDansing {
         durability: DurabilityOptions,
     ) -> Result<Session> {
         self.governed("session-open", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
             Session::open_durable(
                 self.executor.clone(),
                 self.rules.clone(),
                 table,
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
+                options,
                 durability,
             )
         })
@@ -349,19 +324,10 @@ impl BigDansing {
         durability: DurabilityOptions,
     ) -> Result<(Session, RecoverStats)> {
         self.governed("session-recover", || {
-            crate::cleanse::validate_lsh_override(&options, &self.rules)?;
             Session::recover(
                 self.executor.clone(),
                 self.rules.clone(),
-                SessionOptions {
-                    max_iterations: options.max_iterations,
-                    max_changes_per_cell: options.max_changes_per_cell,
-                    strategy: options.strategy,
-                    repair_options: options.repair_options,
-                    isolation: options.isolation,
-                    window: options.window,
-                    lsh: options.lsh,
-                },
+                options,
                 durability,
             )
         })

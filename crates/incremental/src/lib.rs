@@ -9,11 +9,12 @@
 //! tuples changed since the last run. This crate keeps a cleansing
 //! [`Session`] alive across delta batches:
 //!
-//! * a **persistent block index** per rule (blocking-key → scoped
-//!   tuples, or the partitioned sorted lists of
-//!   [`bigdansing_ocjoin::OcIndex`] for inequality rules) survives
-//!   between batches, so candidate generation touches only the blocks a
-//!   delta dirties;
+//! * a **persistent candidate index** per rule
+//!   ([`bigdansing_plan::CandidateIndex`]: blocking key or LSH bucket →
+//!   scoped tuples, or the partitioned sorted lists of an `OcIndex` for
+//!   inequality rules) survives between batches, so candidate
+//!   generation touches only the blocks a delta dirties — through the
+//!   same kernel that enumerates batch blocks;
 //! * a **violation store** records, for every live violation, the data
 //!   units that produced it, so violations whose contributing rows were
 //!   deleted or updated are *retracted* instead of recomputed;
@@ -51,6 +52,6 @@ pub mod wal;
 pub mod window;
 
 pub use delta::{apply_batch_to_table, DeltaBatch, DeltaOp};
-pub use session::{DeltaReport, Session, SessionOptions};
+pub use session::{validate_lsh_override, CleanseOptions, DeltaReport, Session};
 pub use wal::{read_snapshot_table, DurabilityOptions, RecoverStats};
 pub use window::WindowSpec;

@@ -10,21 +10,23 @@
 //!
 //! * block membership order equals global table order (the engine's
 //!   `group_by_key` concatenates map-side buckets in partition order),
-//!   so orienting unordered candidate pairs by a persistent per-tuple
-//!   sequence number reproduces the batch enumeration byte for byte;
+//!   and each rule's [`CandidateIndex`] orders its blocks by a
+//!   persistent per-tuple sequence number; its probes run the batch
+//!   reducers' own kernel, so candidate units and their orientation
+//!   reproduce the batch enumeration byte for byte;
 //! * when a tuple changes, every violation whose generating unit
 //!   involved it is retracted and exactly the units that involve its
 //!   new version (`delta×resident ∪ delta×delta`, within the dirtied
 //!   blocks) are re-detected — units among untouched residents are
 //!   unchanged by construction;
-//! * inequality rules probe the persistent [`OcIndex`] from both sides,
+//! * inequality rules probe a persistent `OcIndex` from both sides,
 //!   which yields precisely the delta-involving subset of the batch
 //!   OCJoin's ordered pairs.
 //!
 //! The repair phase then replays the batch loop: full-store repair per
-//! round with a fresh per-cell change counter, the same frozen/no-op
-//! filters, and the changed cells of each round fed back through the
-//! incremental detection path. The one *scoped* shortcut — skipping
+//! round through the shared [`repair_round`] helper with a fresh
+//! per-cell change counter, and the changed cells of each round fed
+//! back through the incremental detection path. The one *scoped* shortcut — skipping
 //! repair entirely when a batch adds and retracts nothing and the
 //! previous loop ended stably (every surviving fix filtered as a no-op)
 //! — is sound because repair input depends only on the stored
@@ -40,52 +42,61 @@ use bigdansing_common::metrics::Metrics;
 use bigdansing_common::{Cell, Error, LshParams, Result, Table, Tuple, TupleId, Value};
 use bigdansing_dataflow::bulkhead::IsolationOptions;
 use bigdansing_dataflow::{Dio, Engine, PDataset};
-use bigdansing_ocjoin::{try_ocjoin, OcIndex, OcJoinConfig};
+use bigdansing_plan::candidates::{BlockId, CandidateIndex, Placed};
 use bigdansing_plan::physical::choose_strategy;
-use bigdansing_plan::{Executor, IterateStrategy};
+use bigdansing_plan::Executor;
 use bigdansing_repair::blackbox::RepairOptions;
 use bigdansing_repair::cc::UnionFind;
-use bigdansing_repair::{run_repair, Detected, RepairStrategy};
-use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, RuleExt, Violation};
+use bigdansing_repair::{repair_round, Detected, FreezeCounter, RepairStrategy};
+use bigdansing_rules::{BlockKey, DetectUnit, Fix, Rule, UnitKind, Violation};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Options governing a [`Session`]'s repair loop — the same knobs as the
-/// batch cleanse loop, so a session and a from-scratch run are
-/// comparable.
+/// Options of the detect ⇄ repair loop, shared by the batch cleanse
+/// loop and incremental [`Session`]s, so a session and a from-scratch
+/// run of the same job are comparable.
 #[derive(Debug, Clone)]
-pub struct SessionOptions {
-    /// Maximum detect ⇄ repair iterations per applied batch.
+pub struct CleanseOptions {
+    /// Maximum detect ⇄ repair iterations (per applied batch, in a
+    /// session).
     pub max_iterations: usize,
-    /// Per-cell freeze threshold (reset for every batch, like a fresh
-    /// batch run).
+    /// Freeze threshold: after this many updates a cell stops changing
+    /// (the paper's "special variable" guaranteeing termination). A
+    /// session resets the counter for every batch, like a fresh batch
+    /// run.
     pub max_changes_per_cell: usize,
     /// Repair strategy.
     pub strategy: RepairStrategy,
     /// Options forwarded to the parallel black-box driver.
     pub repair_options: RepairOptions,
-    /// Rule-isolation mode. In partial mode a rule whose delta
-    /// detection fails is quarantined — its indexes are dropped, its
-    /// stored violations retracted, and later applies skip it — instead
-    /// of poisoning the whole session. Quarantine is in-memory only:
+    /// Rule-isolation knobs: strict-vs-partial fault mode, per-rule
+    /// soft time budget, outlier-block threshold, breaker tuning. In
+    /// partial mode a session quarantines a rule whose delta detection
+    /// fails — its indexes are dropped, its stored violations
+    /// retracted, and later applies skip it — instead of poisoning the
+    /// whole session. Quarantine is in-memory only:
     /// [`Session::recover`] gives every rule a fresh trial.
     pub isolation: IsolationOptions,
-    /// Violation window (Bleach-style). When set, every arriving record
-    /// gets a logical event time and tuples whose last containing
-    /// window closes behind the watermark are retired through the
-    /// delete path after each apply — their violations retracted via
-    /// the provenance indexes. `None` keeps the unbounded behaviour.
+    /// Violation window (Bleach-style) for sessions: every arriving
+    /// record gets a logical event time, and tuples whose last
+    /// containing window closes behind the watermark are retired
+    /// through the delete path after each apply — their violations
+    /// retracted via the provenance indexes. `None` keeps the unbounded
+    /// behaviour. The batch loop ignores it: a one-shot table has no
+    /// stream to window.
     pub window: Option<WindowSpec>,
-    /// Session-level override of the MinHash/LSH banding geometry,
-    /// mirroring the batch loop's option so an incremental session and
-    /// a from-scratch cleanse of the same job stay comparable. Applies
-    /// to every similarity rule; ignored by rules without LSH blocking.
+    /// Job-level override of the MinHash/LSH banding geometry. Applies
+    /// to every registered similarity rule (a rule whose [`Rule::lsh`]
+    /// is `Some`); a job or session that sets it while no registered
+    /// rule declares LSH blocking is rejected up front by
+    /// [`validate_lsh_override`] — the override would silently do
+    /// nothing.
     pub lsh: Option<LshParams>,
 }
 
-impl Default for SessionOptions {
+impl Default for CleanseOptions {
     fn default() -> Self {
-        SessionOptions {
+        CleanseOptions {
             max_iterations: 10,
             max_changes_per_cell: 3,
             strategy: RepairStrategy::default(),
@@ -95,6 +106,21 @@ impl Default for SessionOptions {
             lsh: None,
         }
     }
+}
+
+/// Reject a job-level LSH override that no rule can honour: the
+/// banding geometry only applies to similarity rules, so if none of
+/// the registered rules declares LSH blocking the override is a
+/// configuration mistake, not a no-op.
+pub fn validate_lsh_override(options: &CleanseOptions, rules: &[Arc<dyn Rule>]) -> Result<()> {
+    if options.lsh.is_some() && !rules.iter().any(|r| r.lsh().is_some()) {
+        return Err(Error::Repair(
+            "LSH blocking options apply only to similarity rules, but no registered rule \
+             declares LSH blocking — register a dedup/similarity rule or drop the LSH options"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 /// What one [`Session::apply`] did.
@@ -145,117 +171,42 @@ pub struct DeltaReport {
     pub tuples_expired: usize,
 }
 
-/// How a rule's candidate units are generated incrementally — the
-/// session-side mirror of [`IterateStrategy`].
-#[derive(Debug, Clone)]
-enum Kind {
-    /// One unit per scoped tuple.
-    Single,
-    /// Pairs within blocks. `keyed`: use the rule's Block operator
-    /// (otherwise everything shares one global block). `ordered`: emit
-    /// both orientations. `distinct_ids`: skip same-id pairs (the
-    /// CrossProduct diagonal filter).
-    Blocked {
-        keyed: bool,
-        ordered: bool,
-        distinct_ids: bool,
-    },
-    /// Whole blocks as units.
-    List,
-    /// Inequality joins through the persistent [`OcIndex`].
-    Ordered,
-    /// MinHash/LSH banding for similarity rules: the block index holds
-    /// every tuple under each of its `(band, bucket hash)` keys, delta
-    /// tuples probe all their band buckets, and a cross-band seen-set
-    /// keeps each candidate pair single-shot — mirroring the batch
-    /// executor's first-shared-band dedup.
-    Lsh { bands: usize, rows_per_band: usize },
-}
-
-fn kind_of(strategy: &IterateStrategy) -> Kind {
-    match strategy {
-        IterateStrategy::SingleUnits => Kind::Single,
-        IterateStrategy::BlockPairs { ordered } => Kind::Blocked {
-            keyed: true,
-            ordered: *ordered,
-            distinct_ids: false,
-        },
-        IterateStrategy::BlockList => Kind::List,
-        IterateStrategy::UCrossProduct => Kind::Blocked {
-            keyed: false,
-            ordered: false,
-            distinct_ids: false,
-        },
-        IterateStrategy::CrossProduct => Kind::Blocked {
-            keyed: false,
-            ordered: true,
-            distinct_ids: true,
-        },
-        IterateStrategy::OcJoin(_) => Kind::Ordered,
-        IterateStrategy::LshBlocks {
-            bands,
-            rows_per_band,
-        } => Kind::Lsh {
-            bands: *bands,
-            rows_per_band: *rows_per_band,
-        },
-    }
-}
-
-/// [`kind_of`] with the session-level LSH geometry override applied —
-/// the incremental mirror of the batch loop rewriting its pipeline
-/// strategy from [`SessionOptions::lsh`].
-fn kind_for(rule: &dyn Rule, lsh: Option<LshParams>) -> Kind {
-    let mut strategy = choose_strategy(rule);
-    if let (
-        Some(p),
-        IterateStrategy::LshBlocks {
-            bands,
-            rows_per_band,
-        },
-    ) = (lsh, &mut strategy)
-    {
-        *bands = p.bands;
-        *rows_per_band = p.rows_per_band;
-    }
-    kind_of(&strategy)
-}
-
-/// One scoped tuple resident in a block, with its enumeration position:
-/// `seq` is the owning tuple's table-order sequence number, `rep` the
-/// index among that tuple's Scope outputs.
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
-    rep: u32,
-    tuple: Tuple,
-}
-
-impl Entry {
-    fn pos(&self) -> (u64, u32) {
-        (self.seq, self.rep)
-    }
-}
-
-/// Per-rule persistent state: the scoped tuples by source id and the
-/// rule's candidate-generation index.
+/// Per-rule persistent state: the rule's candidate index and what each
+/// source tuple put into it.
 struct RuleState {
     rule: Arc<dyn Rule>,
-    kind: Kind,
-    /// Scope outputs per source tuple (`rep` order), keyed by the seq
-    /// the entries were indexed under. Removal must use this recorded
-    /// seq, not the live one: a delete-then-reinsert batch reassigns
+    index: CandidateIndex,
+    /// Scope outputs per source tuple (`rep` order), with the seq they
+    /// were indexed under. Removal must use this recorded seq, not the
+    /// live one: a delete-then-reinsert batch reassigns
     /// `Session::seqs[id]` before the indexes are cleaned up.
-    scoped: HashMap<TupleId, (u64, Vec<(u32, Tuple)>)>,
-    /// Block index (blocking key → members in table order). Used by
-    /// `Blocked` (key `[]` when unkeyed) and `List`.
-    blocks: HashMap<BlockKey, Vec<Entry>>,
-    /// The inequality index, built lazily on first ingest.
-    oc: Option<OcIndex>,
+    scoped: HashMap<TupleId, (u64, Vec<Tuple>)>,
     /// The fault that quarantined this rule (partial isolation mode):
-    /// its indexes are dropped and redetection skips it for the rest of
+    /// its index is dropped and redetection skips it for the rest of
     /// the session. `None` while healthy.
     quarantined: Option<String>,
+}
+
+impl RuleState {
+    fn new(rule: &Arc<dyn Rule>, options: &CleanseOptions) -> RuleState {
+        let strategy = choose_strategy(rule.as_ref(), options.lsh);
+        RuleState {
+            rule: Arc::clone(rule),
+            index: CandidateIndex::new(Arc::clone(rule), strategy),
+            scoped: HashMap::new(),
+            quarantined: None,
+        }
+    }
+
+    /// Scope `t`, live at `seq`, record its outputs, and place them for
+    /// the candidate index.
+    fn scope_into(&mut self, seq: u64, t: &Tuple, placed: &mut Vec<Placed>) {
+        let reps = self.rule.scope(t);
+        for (rep, s) in reps.iter().enumerate() {
+            placed.push(self.index.place((seq, rep as u32), s.clone()));
+        }
+        self.scoped.insert(t.id(), (seq, reps));
+    }
 }
 
 /// Where a stored violation came from: the tuple ids of the unit that
@@ -292,36 +243,13 @@ impl Store {
         self.items.is_empty()
     }
 
-    fn add(&mut self, rule: usize, violation: Violation, fixes: Vec<Fix>, prov: Provenance) {
-        let id = self.next;
-        self.next += 1;
-        match &prov {
-            Provenance::Tuples(ids) => {
-                for t in ids {
-                    self.by_tuple.entry(*t).or_default().insert(id);
-                }
-            }
-            Provenance::Block(key) => {
-                self.by_block
-                    .entry((rule, key.clone()))
-                    .or_default()
-                    .insert(id);
-            }
-        }
-        self.items.insert(
-            id,
-            Stored {
-                rule,
-                violation,
-                fixes,
-                prov,
-            },
-        );
+    fn add(&mut self, stored: Stored) {
+        self.insert_raw(self.next, stored);
     }
 
-    /// Re-insert a stored violation under a known id (snapshot
-    /// recovery), maintaining the provenance indexes and keeping
-    /// `next` ahead of every live id.
+    /// Insert a stored violation under a known id (snapshot recovery
+    /// restores the ids it saved), maintaining the provenance indexes
+    /// and keeping `next` ahead of every live id.
     fn insert_raw(&mut self, id: u64, stored: Stored) {
         match &stored.prov {
             Provenance::Tuples(ids) => {
@@ -414,7 +342,7 @@ impl Store {
 #[derive(Default)]
 struct ApplyStats {
     reprocessed: BTreeSet<TupleId>,
-    blocks: BTreeSet<(usize, BlockKey)>,
+    blocks: BTreeSet<(usize, BlockId)>,
     added: u64,
     retracted: u64,
     /// Tuple ids of violations added or retracted (component markers).
@@ -460,7 +388,7 @@ struct Win {
 pub struct Session {
     executor: Executor,
     rules: Vec<Arc<dyn Rule>>,
-    options: SessionOptions,
+    options: CleanseOptions,
     table: Table,
     /// Table-order sequence number per live tuple: base tuples keep
     /// their position, inserts get fresh increasing numbers (they append
@@ -488,7 +416,7 @@ pub struct Session {
     /// Durability state when the session was opened with
     /// [`Session::open_durable`] or [`Session::recover`].
     durable: Option<Durable>,
-    /// Window state when [`SessionOptions::window`] was set.
+    /// Window state when [`CleanseOptions::window`] was set.
     win: Option<Win>,
 }
 
@@ -502,11 +430,12 @@ impl Session {
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         table: &Table,
-        options: SessionOptions,
+        options: CleanseOptions,
     ) -> Result<Session> {
         if rules.is_empty() {
             return Err(Error::Repair("no rules registered".into()));
         }
+        validate_lsh_override(&options, &rules)?;
         let mut seqs = HashMap::with_capacity(table.len());
         let mut pos = HashMap::with_capacity(table.len());
         for (i, t) in table.tuples().iter().enumerate() {
@@ -518,17 +447,7 @@ impl Session {
             }
             pos.insert(t.id(), i);
         }
-        let states = rules
-            .iter()
-            .map(|r| RuleState {
-                rule: Arc::clone(r),
-                kind: kind_for(r.as_ref(), options.lsh),
-                scoped: HashMap::new(),
-                blocks: HashMap::new(),
-                oc: None,
-                quarantined: None,
-            })
-            .collect();
+        let states = rules.iter().map(|r| RuleState::new(r, &options)).collect();
         // Base rows get event times in table order, as if they streamed
         // in one at a time before the session opened.
         let win = options.window.map(|spec| Win {
@@ -584,7 +503,7 @@ impl Session {
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
         table: &Table,
-        options: SessionOptions,
+        options: CleanseOptions,
         durability: DurabilityOptions,
     ) -> Result<Session> {
         if wal::snapshot_path(&durability.dir).exists() {
@@ -621,9 +540,10 @@ impl Session {
     pub fn recover(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
+        options: CleanseOptions,
         durability: DurabilityOptions,
     ) -> Result<(Session, RecoverStats)> {
+        validate_lsh_override(&options, &rules)?;
         wal::sweep_dir(&durability.dir);
         let state = wal::read_snapshot(&durability.dir)?.ok_or_else(|| {
             Error::Io(format!(
@@ -678,7 +598,7 @@ impl Session {
     fn from_state(
         executor: Executor,
         rules: Vec<Arc<dyn Rule>>,
-        options: SessionOptions,
+        options: CleanseOptions,
         state: &SessionState,
     ) -> Result<Session> {
         if rules.is_empty() {
@@ -696,17 +616,7 @@ impl Session {
             }
             pos.insert(t.id(), i);
         }
-        let states = rules
-            .iter()
-            .map(|r| RuleState {
-                rule: Arc::clone(r),
-                kind: kind_for(r.as_ref(), options.lsh),
-                scoped: HashMap::new(),
-                blocks: HashMap::new(),
-                oc: None,
-                quarantined: None,
-            })
-            .collect();
+        let states = rules.iter().map(|r| RuleState::new(r, &options)).collect();
         let mut store = Store::default();
         for item in &state.items {
             let rule = item.rule as usize;
@@ -781,72 +691,18 @@ impl Session {
         Ok(session)
     }
 
-    /// Re-scope every live tuple into the per-rule indexes, in table
-    /// order — the same entries incremental maintenance would have
-    /// accumulated, rebuilt in one pass.
+    /// Re-scope every live tuple into the per-rule candidate indexes —
+    /// the same residents incremental maintenance would have
+    /// accumulated, inserted in one pass.
     fn rebuild_indexes(&mut self) {
         let engine = self.executor.engine().clone();
         for state in &mut self.states {
-            let kind = state.kind.clone();
-            let mut entries: Vec<Entry> = Vec::new();
+            let mut placed = Vec::new();
             for t in self.table.tuples() {
                 let seq = *self.seqs.get(&t.id()).expect("live tuple has a seq");
-                let reps = state.rule.scope(t);
-                state.scoped.insert(
-                    t.id(),
-                    (
-                        seq,
-                        reps.iter()
-                            .cloned()
-                            .enumerate()
-                            .map(|(i, s)| (i as u32, s))
-                            .collect(),
-                    ),
-                );
-                for (i, s) in reps.into_iter().enumerate() {
-                    entries.push(Entry {
-                        seq,
-                        rep: i as u32,
-                        tuple: s,
-                    });
-                }
+                state.scope_into(seq, t, &mut placed);
             }
-            entries.sort_by_key(Entry::pos);
-            match kind {
-                Kind::Single => {}
-                Kind::Blocked { keyed, .. } => {
-                    for e in entries {
-                        let key = block_key(state.rule.as_ref(), &e.tuple, keyed);
-                        state.blocks.entry(key).or_default().push(e);
-                    }
-                }
-                Kind::List => {
-                    for e in entries {
-                        let key = block_key(state.rule.as_ref(), &e.tuple, true);
-                        state.blocks.entry(key).or_default().push(e);
-                    }
-                }
-                Kind::Lsh {
-                    bands,
-                    rows_per_band,
-                } => {
-                    // One slot per band key; entries are shallow Arc
-                    // handles, so the b-fold replication is O(1) each.
-                    for e in entries {
-                        for key in state.rule.lsh_keys(&e.tuple, bands, rows_per_band) {
-                            state.blocks.entry(key).or_default().push(e.clone());
-                        }
-                    }
-                }
-                Kind::Ordered => {
-                    // Always materialize the index (even when empty):
-                    // a None here would make the next apply batch-build
-                    // from the delta alone and miss delta×base pairs.
-                    let conds = state.rule.ordering_conditions();
-                    let tuples: Vec<Tuple> = entries.into_iter().map(|e| e.tuple).collect();
-                    state.oc = Some(OcIndex::build(conds, &tuples, engine.default_partitions()));
-                }
-            }
+            state.index.insert(&engine, &placed);
         }
     }
 
@@ -1294,7 +1150,7 @@ impl Session {
         report: &mut DeltaReport,
         stats: &mut ApplyStats,
     ) -> Result<()> {
-        let mut change_count: HashMap<Cell, usize> = HashMap::new();
+        let mut freeze = FreezeCounter::new(self.options.max_changes_per_cell);
         let mut converged = false;
         let mut froze = false;
         let mut broke_stable = false;
@@ -1306,41 +1162,24 @@ impl Session {
             }
             report.iterations += 1;
             report.total_violations += self.store.len();
-            let detected = self.store.detected();
-            let assignment = run_repair(
+            let round = repair_round(
                 engine,
-                &detected,
+                &self.store.detected(),
                 &self.options.strategy,
                 self.options.repair_options,
+                &mut freeze,
+                |cell| self.cell_value(cell),
             )?;
-            let mut applicable: HashMap<Cell, Value> = HashMap::new();
-            for (cell, value) in assignment {
-                let count = change_count.entry(cell).or_insert(0);
-                if *count >= self.options.max_changes_per_cell {
-                    froze = true;
-                    continue;
-                }
-                if self.cell_value(cell) == Some(&value) {
-                    continue;
-                }
-                *count += 1;
-                if *count == self.options.max_changes_per_cell {
-                    report.frozen_cells += 1;
-                }
-                applicable.insert(cell, value);
-            }
-            if applicable.is_empty() {
+            report.frozen_cells += round.frozen;
+            froze |= round.withheld;
+            if round.updates.is_empty() {
                 broke_stable = !froze;
                 break;
             }
-            for (cell, value) in &applicable {
-                if let Some(old) = self.cell_value(*cell) {
-                    report.repair_cost += old.distance(value);
-                }
-            }
-            report.cells_changed += applicable.len();
-            self.table.apply_at(&applicable, &self.pos)?;
-            let dirty: BTreeSet<TupleId> = applicable.keys().map(|c| c.tuple).collect();
+            report.repair_cost += round.cost;
+            report.cells_changed += round.updates.len();
+            self.table.apply_at(&round.updates, &self.pos)?;
+            let dirty: BTreeSet<TupleId> = round.updates.keys().map(|c| c.tuple).collect();
             let fresh = self.snapshot_tuples(&dirty);
             self.redetect(&dirty, &fresh, stats)?;
         }
@@ -1405,10 +1244,10 @@ impl Session {
     /// rule's stale detections. The other rules' state is untouched.
     fn quarantine_rule(&mut self, ri: usize, cause: &str, stats: &mut ApplyStats, engine: &Engine) {
         let state = &mut self.states[ri];
-        state.quarantined = Some(cause.to_string());
-        state.scoped.clear();
-        state.blocks.clear();
-        state.oc = None;
+        *state = RuleState {
+            quarantined: Some(cause.to_string()),
+            ..RuleState::new(&state.rule, &self.options)
+        };
         for stored in self.store.retract_rule(ri) {
             stats.retracted += 1;
             stats.mark_stored(&stored);
@@ -1418,8 +1257,9 @@ impl Session {
         Metrics::add(&m.rules_quarantined, 1);
     }
 
-    /// Update rule `ri`'s index for the dirty tuples and enumerate the
-    /// candidate units to re-detect.
+    /// Update rule `ri`'s candidate index for the dirty tuples and
+    /// enumerate the units to re-detect: remove their old versions,
+    /// probe with the new ones, insert those.
     fn enumerate_rule(
         &mut self,
         ri: usize,
@@ -1429,309 +1269,51 @@ impl Session {
         engine: &Engine,
     ) -> Result<Vec<(Provenance, DetectUnit)>> {
         let state = &mut self.states[ri];
-        let kind = state.kind.clone();
-        let mut dirty_keys: BTreeSet<BlockKey> = BTreeSet::new();
-
-        // Remove old scoped entries from the index, by the seq they
-        // were inserted under (the live seq may differ by now).
+        // Remove by the seq each tuple was indexed under (the live seq
+        // may differ by now).
+        let mut blocks: BTreeSet<BlockId> = BTreeSet::new();
         for id in dirty {
-            let Some((old_seq, reps)) = state.scoped.remove(id) else {
-                continue;
-            };
-            match &kind {
-                Kind::Single => {}
-                Kind::Blocked { keyed, .. } => {
-                    for (rep, t) in &reps {
-                        let key = block_key(state.rule.as_ref(), t, *keyed);
-                        remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                        dirty_keys.insert(key);
-                    }
-                }
-                Kind::List => {
-                    for (rep, t) in &reps {
-                        let key = block_key(state.rule.as_ref(), t, true);
-                        remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                        dirty_keys.insert(key);
-                    }
-                }
-                Kind::Lsh {
-                    bands,
-                    rows_per_band,
-                } => {
-                    for (rep, t) in &reps {
-                        for key in state.rule.lsh_keys(t, *bands, *rows_per_band) {
-                            remove_entry(&mut state.blocks, &key, old_seq, *id, *rep, t);
-                            dirty_keys.insert(key);
-                        }
-                    }
-                }
-                Kind::Ordered => {
-                    if let Some(oc) = &mut state.oc {
-                        for (_, t) in &reps {
-                            oc.remove(t);
-                        }
-                    }
+            if let Some((seq, reps)) = state.scoped.remove(id) {
+                for (rep, t) in reps.into_iter().enumerate() {
+                    blocks.extend(state.index.remove((seq, rep as u32), t));
                 }
             }
         }
-
-        // Scope the new versions, in table order.
-        let mut new_entries: Vec<Entry> = Vec::new();
+        let mut news = Vec::new();
         for id in dirty {
-            let Some(t) = fresh.get(id) else { continue };
-            let reps = state.rule.scope(t);
-            let seq = *self.seqs.get(id).expect("live tuple has a seq");
-            state.scoped.insert(
-                *id,
-                (
-                    seq,
-                    reps.iter()
-                        .cloned()
-                        .enumerate()
-                        .map(|(i, s)| (i as u32, s))
-                        .collect(),
-                ),
-            );
-            for (i, s) in reps.into_iter().enumerate() {
-                new_entries.push(Entry {
-                    seq,
-                    rep: i as u32,
-                    tuple: s,
-                });
+            if let Some(t) = fresh.get(id) {
+                let seq = *self.seqs.get(id).expect("live tuple has a seq");
+                state.scope_into(seq, t, &mut news);
             }
         }
-        new_entries.sort_by_key(Entry::pos);
-
-        let mut units: Vec<(Provenance, DetectUnit)> = Vec::new();
-        match kind {
-            Kind::Single => {
-                for e in new_entries {
-                    stats.reprocessed.insert(e.tuple.id());
-                    units.push((
-                        Provenance::Tuples(vec![e.tuple.id()]),
-                        DetectUnit::Single(e.tuple),
-                    ));
-                }
-            }
-            Kind::Blocked {
-                keyed,
-                ordered,
-                distinct_ids,
-            } => {
-                let mut by_key: BTreeMap<BlockKey, Vec<Entry>> = BTreeMap::new();
-                for e in new_entries {
-                    let key = block_key(state.rule.as_ref(), &e.tuple, keyed);
-                    dirty_keys.insert(key.clone());
-                    by_key.entry(key).or_default().push(e);
-                }
-                let mut pairs = 0u64;
-                let mut emit = |a: &Entry, b: &Entry, units: &mut Vec<(Provenance, DetectUnit)>| {
-                    if distinct_ids && a.tuple.id() == b.tuple.id() {
-                        return;
-                    }
-                    stats.reprocessed.insert(a.tuple.id());
-                    stats.reprocessed.insert(b.tuple.id());
-                    if ordered {
-                        pairs += 2;
-                        units.push((
-                            Provenance::Tuples(vec![a.tuple.id(), b.tuple.id()]),
-                            DetectUnit::Pair(a.tuple.clone(), b.tuple.clone()),
-                        ));
-                        units.push((
-                            Provenance::Tuples(vec![b.tuple.id(), a.tuple.id()]),
-                            DetectUnit::Pair(b.tuple.clone(), a.tuple.clone()),
-                        ));
-                    } else {
-                        pairs += 1;
-                        let (lo, hi) = if a.pos() <= b.pos() { (a, b) } else { (b, a) };
-                        units.push((
-                            Provenance::Tuples(vec![lo.tuple.id(), hi.tuple.id()]),
-                            DetectUnit::Pair(lo.tuple.clone(), hi.tuple.clone()),
-                        ));
-                    }
+        news.sort_by_key(Placed::pos);
+        let mut units = Vec::new();
+        state
+            .index
+            .probe(engine, &news, &mut blocks, |unit, block| {
+                let ids: Vec<TupleId> = match &unit {
+                    DetectUnit::Single(t) => vec![t.id()],
+                    DetectUnit::Pair(a, b) => vec![a.id(), b.id()],
+                    DetectUnit::List(ts) => ts.iter().map(Tuple::id).collect(),
                 };
-                for (key, news) in by_key {
-                    if let Some(residents) = state.blocks.get(&key) {
-                        for e in &news {
-                            for r in residents {
-                                emit(e, r, &mut units);
-                            }
-                        }
-                    }
-                    for i in 0..news.len() {
-                        for j in (i + 1)..news.len() {
-                            emit(&news[i], &news[j], &mut units);
-                        }
-                    }
-                    let slot = state.blocks.entry(key).or_default();
-                    for e in news {
-                        let at = slot.partition_point(|x| x.pos() < e.pos());
-                        slot.insert(at, e);
-                    }
-                }
-                Metrics::add(&engine.metrics().pairs_generated, pairs);
-            }
-            Kind::List => {
-                for e in new_entries {
-                    let key = block_key(state.rule.as_ref(), &e.tuple, true);
-                    dirty_keys.insert(key.clone());
-                    let slot = state.blocks.entry(key).or_default();
-                    let at = slot.partition_point(|x| x.pos() < e.pos());
-                    slot.insert(at, e);
-                }
-                for key in &dirty_keys {
-                    for stored in self.store.retract_block(ri, key) {
-                        stats.retracted += 1;
-                        stats.mark_stored(&stored);
-                    }
-                    let Some(entries) = self.states[ri].blocks.get(key) else {
-                        continue;
-                    };
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    let block: Vec<Tuple> = entries.iter().map(|e| e.tuple.clone()).collect();
-                    for t in &block {
-                        stats.reprocessed.insert(t.id());
-                    }
-                    units.push((Provenance::Block(key.clone()), DetectUnit::List(block)));
-                }
-            }
-            Kind::Lsh {
-                bands,
-                rows_per_band,
-            } => {
-                // Band keys are computed once per delta entry, then the
-                // entry probes every one of its band buckets. A pair
-                // can meet in several bands (delta×resident) or via
-                // several shared keys (delta×delta); the `seen` set
-                // keeps each unordered pair single-shot, mirroring the
-                // batch executor's first-shared-band rule. Pairs are
-                // oriented (lo, hi) by enumeration position — the same
-                // orientation the batch reducer produces from its
-                // table-ordered buckets — so violations come out
-                // byte-identical to a from-scratch run.
-                let keyed: Vec<(Entry, Vec<BlockKey>)> = new_entries
-                    .into_iter()
-                    .map(|e| {
-                        let keys = state.rule.lsh_keys(&e.tuple, bands, rows_per_band);
-                        (e, keys)
-                    })
-                    .collect();
-                let mut seen: BTreeSet<((u64, u32), (u64, u32))> = BTreeSet::new();
-                let (mut pairs, mut pruned, mut probed) = (0u64, 0u64, 0u64);
-                let mut emit = |a: &Entry, b: &Entry, units: &mut Vec<(Provenance, DetectUnit)>| {
-                    stats.reprocessed.insert(a.tuple.id());
-                    stats.reprocessed.insert(b.tuple.id());
-                    pairs += 1;
-                    let (lo, hi) = if a.pos() <= b.pos() { (a, b) } else { (b, a) };
-                    units.push((
-                        Provenance::Tuples(vec![lo.tuple.id(), hi.tuple.id()]),
-                        DetectUnit::Pair(lo.tuple.clone(), hi.tuple.clone()),
-                    ));
+                stats.reprocessed.extend(ids.iter().copied());
+                let prov = match block {
+                    Some(key) => Provenance::Block(key.clone()),
+                    None => Provenance::Tuples(ids),
                 };
-                // delta × resident
-                for (e, keys) in &keyed {
-                    for key in keys {
-                        dirty_keys.insert(key.clone());
-                        let Some(residents) = state.blocks.get(key) else {
-                            continue;
-                        };
-                        if !residents.is_empty() {
-                            probed += 1;
-                        }
-                        for r in residents {
-                            let pr = pair_key(e.pos(), r.pos());
-                            if seen.insert(pr) {
-                                emit(e, r, &mut units);
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
-                }
-                // delta × delta: bucket the news by band key
-                let mut delta_buckets: BTreeMap<&BlockKey, Vec<usize>> = BTreeMap::new();
-                for (idx, (_, keys)) in keyed.iter().enumerate() {
-                    for key in keys {
-                        delta_buckets.entry(key).or_default().push(idx);
-                    }
-                }
-                for members in delta_buckets.values() {
-                    if members.len() > 1 {
-                        probed += 1;
-                    }
-                    for x in 0..members.len() {
-                        for y in (x + 1)..members.len() {
-                            let a = &keyed[members[x]].0;
-                            let b = &keyed[members[y]].0;
-                            let pr = pair_key(a.pos(), b.pos());
-                            if seen.insert(pr) {
-                                emit(a, b, &mut units);
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
-                }
-                // index the new entries under every band key
-                for (e, keys) in keyed {
-                    for key in keys {
-                        let slot = state.blocks.entry(key).or_default();
-                        let at = slot.partition_point(|x| x.pos() < e.pos());
-                        slot.insert(at, e.clone());
-                    }
-                }
-                let metrics = engine.metrics();
-                Metrics::add(&metrics.pairs_generated, pairs);
-                Metrics::add(&metrics.lsh_candidate_pairs, pairs);
-                Metrics::add(&metrics.lsh_pairs_pruned, pruned);
-                Metrics::add(&metrics.lsh_bands_probed, probed);
-            }
-            Kind::Ordered => {
-                let conds = self.states[ri].rule.ordering_conditions();
-                let delta: Vec<Tuple> = new_entries.iter().map(|e| e.tuple.clone()).collect();
-                let state = &mut self.states[ri];
-                let pairs = match &mut state.oc {
-                    Some(oc) => {
-                        let pairs = oc.probe(engine, &delta);
-                        for t in &delta {
-                            oc.insert(t.clone());
-                        }
-                        pairs
-                    }
-                    None => {
-                        // First ingest: batch-build the index and take
-                        // the pairs from a batch OCJoin, exactly like a
-                        // full-detect pipeline would.
-                        state.oc = Some(OcIndex::build(
-                            conds.clone(),
-                            &delta,
-                            engine.default_partitions(),
-                        ));
-                        try_ocjoin(
-                            PDataset::from_vec(engine.clone(), delta.clone()),
-                            &conds,
-                            OcJoinConfig::default(),
-                        )?
-                        .try_collect()?
-                    }
-                };
-                if !delta.is_empty() {
-                    dirty_keys.insert(BlockKey::new());
-                }
-                for (a, b) in pairs {
-                    stats.reprocessed.insert(a.id());
-                    stats.reprocessed.insert(b.id());
-                    units.push((
-                        Provenance::Tuples(vec![a.id(), b.id()]),
-                        DetectUnit::Pair(a, b),
-                    ));
+                units.push((prov, unit));
+            })?;
+        state.index.insert(engine, &news);
+        // only list rules store violations by block
+        let list = state.rule.unit_kind() == UnitKind::List;
+        for id in blocks {
+            if let (true, BlockId::Key(key)) = (list, &id) {
+                for stored in self.store.retract_block(ri, key) {
+                    stats.retracted += 1;
+                    stats.mark_stored(&stored);
                 }
             }
-        }
-        for key in dirty_keys {
-            stats.blocks.insert((ri, key));
+            stats.blocks.insert((ri, id));
         }
         Ok(units)
     }
@@ -1775,8 +1357,7 @@ impl Session {
                 prov,
             };
             stats.mark_stored(&stored);
-            self.store
-                .add(stored.rule, stored.violation, stored.fixes, stored.prov);
+            self.store.add(stored);
         }
         Ok(())
     }
@@ -1803,59 +1384,6 @@ impl Session {
     }
 }
 
-/// The blocking key for a scoped tuple (`[]` when the rule has no Block
-/// operator and everything shares one global block).
-fn block_key(rule: &dyn Rule, t: &Tuple, keyed: bool) -> BlockKey {
-    if keyed {
-        rule.block(t).unwrap_or_default()
-    } else {
-        BlockKey::new()
-    }
-}
-
-/// Canonical unordered identity of a candidate pair, by enumeration
-/// position — the LSH seen-set key that keeps a pair meeting in several
-/// bands single-shot.
-fn pair_key(a: (u64, u32), b: (u64, u32)) -> ((u64, u32), (u64, u32)) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Drop the `(seq, rep)` entry for tuple `id` from `blocks[key]`.
-/// `seq` is the sequence number recorded when the entry was indexed, so
-/// the binary search lands on it even when the tuple's live seq has
-/// since changed (delete-then-reinsert) or is gone (plain delete); the
-/// linear scan is a defensive fallback only.
-fn remove_entry(
-    blocks: &mut HashMap<BlockKey, Vec<Entry>>,
-    key: &BlockKey,
-    seq: u64,
-    id: TupleId,
-    rep: u32,
-    t: &Tuple,
-) {
-    let Some(slot) = blocks.get_mut(key) else {
-        return;
-    };
-    let idx = slot
-        .binary_search_by(|e| e.pos().cmp(&(seq, rep)))
-        .ok()
-        .filter(|&i| slot[i].tuple.id() == id)
-        .or_else(|| {
-            slot.iter()
-                .position(|e| e.tuple.id() == id && e.rep == rep && e.tuple == *t)
-        });
-    if let Some(i) = idx {
-        slot.remove(i);
-    }
-    if slot.is_empty() {
-        blocks.remove(key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1871,7 +1399,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap()
     }
@@ -1927,7 +1455,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions {
+            CleanseOptions {
                 isolation: IsolationOptions::partial(),
                 ..Default::default()
             },
@@ -1987,7 +1515,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions {
+            CleanseOptions {
                 isolation: IsolationOptions::partial(),
                 ..Default::default()
             },
@@ -2023,7 +1551,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         );
         assert!(err.is_err(), "strict isolation propagates the fault");
     }
@@ -2126,7 +1654,7 @@ mod tests {
             Executor::new(engine),
             rules,
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         assert!(!s.is_poisoned());
@@ -2175,9 +1703,32 @@ mod tests {
             Executor::new(Engine::sequential()),
             Vec::new(),
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .is_err());
+    }
+
+    #[test]
+    fn lsh_override_without_a_similarity_rule_is_rejected() {
+        let schema = Schema::parse("zipcode,city");
+        let options = CleanseOptions {
+            lsh: Some(LshParams::default()),
+            ..Default::default()
+        };
+        let err = err_of(Session::new(
+            Executor::new(Engine::sequential()),
+            fd_rules(&schema),
+            &base_table(&schema),
+            options.clone(),
+        ));
+        assert!(err.to_string().contains("similarity rules"), "{err}");
+        let err = err_of(Session::recover(
+            Executor::new(Engine::sequential()),
+            fd_rules(&schema),
+            options,
+            DurabilityOptions::new(durable_dir("lsh-override")),
+        ));
+        assert!(err.to_string().contains("similarity rules"), "{err}");
     }
 
     // --- durability ----------------------------------------------------
@@ -2236,7 +1787,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(2),
         )
         .unwrap();
@@ -2244,7 +1795,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         for b in batches() {
@@ -2268,7 +1819,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(100),
         )
         .unwrap();
@@ -2280,7 +1831,7 @@ mod tests {
         let (recovered, stats) = Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(100),
         )
         .unwrap();
@@ -2292,7 +1843,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         for b in batches() {
@@ -2305,7 +1856,7 @@ mod tests {
         let (again, stats2) = Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(100),
         )
         .unwrap();
@@ -2325,7 +1876,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(1),
         )
         .unwrap();
@@ -2335,7 +1886,7 @@ mod tests {
         let (mut recovered, _) = Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         )
         .unwrap();
@@ -2365,7 +1916,7 @@ mod tests {
             Executor::new(engine),
             fd_rules(&schema),
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         )
         .unwrap();
@@ -2381,7 +1932,7 @@ mod tests {
         let (recovered, stats) = Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         )
         .unwrap();
@@ -2393,7 +1944,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &table,
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         oracle.apply(batch).unwrap();
@@ -2410,7 +1961,7 @@ mod tests {
                 Executor::new(Engine::sequential()),
                 fd_rules(&schema),
                 &base_table(&schema),
-                SessionOptions::default(),
+                CleanseOptions::default(),
                 DurabilityOptions::new(dir),
             )
         };
@@ -2428,7 +1979,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         )
         .unwrap();
@@ -2437,7 +1988,7 @@ mod tests {
         let err = err_of(Session::recover(
             Executor::new(Engine::sequential()),
             other,
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         ));
         assert!(err.to_string().contains("rule set mismatch"), "{err}");
@@ -2446,7 +1997,7 @@ mod tests {
         let err = err_of(Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&empty),
         ));
         assert!(err.to_string().contains("no snapshot"), "{err}");
@@ -2462,7 +2013,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir).snapshot_every(100),
         )
         .unwrap();
@@ -2476,7 +2027,7 @@ mod tests {
         let (recovered, stats) = Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         )
         .unwrap();
@@ -2491,7 +2042,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             &base_table(&schema),
-            SessionOptions {
+            CleanseOptions {
                 window: Some(spec),
                 ..Default::default()
             },
@@ -2507,7 +2058,7 @@ mod tests {
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
             s.table(),
-            SessionOptions::default(),
+            CleanseOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -2599,7 +2150,7 @@ mod tests {
     fn windowed_durable_session_recovers_watermark() {
         let schema = Schema::parse("zipcode,city");
         let dir = durable_dir("window");
-        let opts = || SessionOptions {
+        let opts = || CleanseOptions {
             window: Some(WindowSpec::tumbling(3).unwrap()),
             ..Default::default()
         };
@@ -2620,7 +2171,7 @@ mod tests {
         let err = err_of(Session::recover(
             Executor::new(Engine::sequential()),
             fd_rules(&schema),
-            SessionOptions::default(),
+            CleanseOptions::default(),
             DurabilityOptions::new(&dir),
         ));
         assert!(err.to_string().contains("window mismatch"), "{err}");

@@ -10,7 +10,16 @@
 //! Hadoop-like [`bigdansing_dataflow::ExecMode::DiskBacked`] engine.
 //! [`Engine::explain`] shows which logical operators landed in which
 //! physical passes.
+//!
+//! The parallel `group_by_key` shuffle is the bulk build of every
+//! blocking strategy. The BlockList, BlockPairs and LshBlocks reducers
+//! then enumerate each block through the [`crate::candidates`] kernel
+//! with every member fresh — a probe against an empty resident set, the
+//! same kernel an incremental session probes with its deltas. The
+//! reducer's closure keeps the [`RuleGuard`] budget and straggler
+//! checks. UCrossProduct, CrossProduct and OCJoin run their own joins.
 
+use crate::candidates::{block_units, BandRecord, BlockUnits, Fresh};
 use crate::physical::{IterateStrategy, RulePipeline};
 use bigdansing_common::error::Result;
 use bigdansing_common::metrics::{deep_clones_total, Metrics};
@@ -152,9 +161,11 @@ impl Executor {
                     })
                     .run()
             }
-            IterateStrategy::BlockList => {
-                let r = Arc::clone(rule);
+            IterateStrategy::BlockList | IterateStrategy::BlockPairs { .. } => {
+                let units = BlockUnits::of(strategy).expect("a blocking strategy");
+                let ordered = matches!(strategy, IterateStrategy::BlockPairs { ordered: true });
                 let rb = Arc::clone(rule);
+                let rd = Arc::clone(rule);
                 // Blocking keys are dictionary-encoded once per pass:
                 // downstream routing/grouping moves 8-byte `KeyId`s, not
                 // `Value` payloads.
@@ -166,66 +177,33 @@ impl Executor {
                     })?
                     .map_parts(detect_op, move |groups| {
                         let mut vs = Vec::new();
-                        let mut units = 0u64;
+                        let mut detected = 0u64;
                         for (_, block) in &groups {
                             if let Some(g) = &guard {
                                 g.check_budget()?;
-                                if !g.admit_block(block.len(), 1)? {
+                                let bound = match units {
+                                    BlockUnits::Whole => 1,
+                                    _ => pairs_in_block(block.len(), ordered),
+                                };
+                                if !g.admit_block(block.len(), bound)? {
                                     continue;
                                 }
                             }
-                            units += 1;
-                            vs.extend(r.detect(&DetectUnit::List(block.clone())));
-                        }
-                        Metrics::add(&metrics.detect_calls, units);
-                        if let Some(g) = &guard {
-                            g.count_units(units);
-                        }
-                        Ok(finish(&r, vs))
-                    })
-                    .run()
-            }
-            IterateStrategy::BlockPairs { ordered } => {
-                let rb = Arc::clone(rule);
-                let rd = Arc::clone(rule);
-                let ordered = *ordered;
-                let dict = Arc::new(KeyDict::new());
-                let guard = guard.cloned();
-                scoped
-                    .group_by_key(&block_op, move |t| {
-                        Ok(dict.encode(rb.block(t).unwrap_or_default()))
-                    })?
-                    .map_parts(detect_op, move |groups| {
-                        let mut vs = Vec::new();
-                        let mut pairs = 0u64;
-                        for (_, block) in &groups {
-                            if let Some(g) = &guard {
-                                g.check_budget()?;
-                                if !g.admit_block(
-                                    block.len(),
-                                    pairs_in_block(block.len(), ordered),
-                                )? {
-                                    continue;
+                            block_units(units, block, Fresh::All, |unit| {
+                                if let Some(g) = &guard {
+                                    g.check_budget()?;
                                 }
-                            }
-                            for i in 0..block.len() {
-                                let j0 = if ordered { 0 } else { i + 1 };
-                                for j in j0..block.len() {
-                                    if i == j {
-                                        continue;
-                                    }
-                                    if let Some(g) = &guard {
-                                        g.check_budget()?;
-                                    }
-                                    pairs += 1;
-                                    vs.extend(rd.detect_pair(&block[i], &block[j]));
-                                }
-                            }
+                                detected += 1;
+                                vs.extend(rd.detect(&unit));
+                                Ok(())
+                            })?;
                         }
-                        Metrics::add(&metrics.pairs_generated, pairs);
-                        Metrics::add(&metrics.detect_calls, pairs);
+                        if units != BlockUnits::Whole {
+                            Metrics::add(&metrics.pairs_generated, detected);
+                        }
+                        Metrics::add(&metrics.detect_calls, detected);
                         if let Some(g) = &guard {
-                            g.count_units(pairs);
+                            g.count_units(detected);
                         }
                         Ok(finish(&rd, vs))
                     })
@@ -238,11 +216,10 @@ impl Executor {
                 // MinHash/LSH banding: each scoped tuple fans out into
                 // one record per band (an O(1) handle clone — the Arc'd
                 // payload is shared), keyed by the dictionary-encoded
-                // `(band, bucket hash)` pair so the PR-5 KeyId
-                // shuffle path is reused verbatim. The reducer then
-                // enumerates pairs within each bucket, comparing a pair
-                // only in the *first* band its signatures share — a
-                // pair colliding in k bands is detected exactly once.
+                // `(band, bucket hash)` pair so the KeyId shuffle path is
+                // reused verbatim. The reducer then enumerates each
+                // bucket through the candidates kernel, which compares a
+                // pair only in the *first* band its signatures share.
                 let rb = Arc::clone(rule);
                 let rd = Arc::clone(rule);
                 let (bands, rows) = (*bands, *rows_per_band);
@@ -256,15 +233,12 @@ impl Executor {
                             .map(move |k| (k, Arc::clone(&hashes), t.clone()))
                             .collect::<Vec<_>>())
                     })
-                    .group_by_key(
-                        &block_op,
-                        move |(k, hashes, _): &(u32, Arc<[u64]>, Tuple)| {
-                            // The `(band, bucket hash)` pair is interned
-                            // directly as a `Copy` key — no per-record
-                            // `Vec<Value>` payload on the hot path.
-                            Ok(dict.encode((*k, hashes[*k as usize])))
-                        },
-                    )?
+                    .group_by_key(&block_op, move |(k, hashes, _): &BandRecord| {
+                        // The `(band, bucket hash)` pair is interned
+                        // directly as a `Copy` key — no per-record
+                        // `Vec<Value>` payload on the hot path.
+                        Ok(dict.encode((*k, hashes[*k as usize])))
+                    })?
                     .map_parts(detect_op, move |groups| {
                         let mut vs = Vec::new();
                         let (mut pairs, mut pruned, mut probed) = (0u64, 0u64, 0u64);
@@ -273,7 +247,6 @@ impl Executor {
                                 continue;
                             }
                             probed += 1;
-                            let band = bucket[0].0;
                             if let Some(g) = &guard {
                                 g.check_budget()?;
                                 if !g.admit_block(
@@ -283,23 +256,15 @@ impl Executor {
                                     continue;
                                 }
                             }
-                            for i in 0..bucket.len() {
-                                for j in (i + 1)..bucket.len() {
-                                    let (_, ha, a) = &bucket[i];
-                                    let (_, hb, b) = &bucket[j];
-                                    let first_shared =
-                                        ha.iter().zip(hb.iter()).position(|(x, y)| x == y);
-                                    if first_shared != Some(band as usize) {
-                                        pruned += 1;
-                                        continue;
-                                    }
-                                    if let Some(g) = &guard {
-                                        g.check_budget()?;
-                                    }
-                                    pairs += 1;
-                                    vs.extend(rd.detect_pair(a, b));
+                            let band = BlockUnits::FirstSharedBand(bucket[0].0 as usize);
+                            pruned += block_units(band, bucket, Fresh::All, |unit| {
+                                if let Some(g) = &guard {
+                                    g.check_budget()?;
                                 }
-                            }
+                                pairs += 1;
+                                vs.extend(rd.detect(&unit));
+                                Ok(())
+                            })?;
                         }
                         Metrics::add(&metrics.pairs_generated, pairs);
                         Metrics::add(&metrics.detect_calls, pairs);
@@ -469,7 +434,7 @@ impl Executor {
         let mut out = DetectOutput::default();
         for rule in rules {
             self.engine.check_cancelled()?;
-            let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name());
+            let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name(), None);
             out.extend(self.run_pipeline(data.try_duplicate()?, &pipeline)?);
         }
         Ok(out)
@@ -486,7 +451,7 @@ impl Executor {
         for rule in rules {
             self.engine.check_cancelled()?;
             let data = self.load(table);
-            let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name());
+            let pipeline = crate::physical::pipeline_for_rule(Arc::clone(rule), table.name(), None);
             out.extend(self.run_pipeline(data, &pipeline)?);
         }
         Ok(out)
@@ -748,7 +713,7 @@ mod tests {
         let table = example1();
         let exec = Executor::new(Engine::parallel(2));
         let rule = fd_rule();
-        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name());
+        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name(), None);
         let iso = IsolationOptions {
             mode: FaultMode::Partial,
             max_block_size: Some(2),
@@ -772,7 +737,7 @@ mod tests {
         let table = example1();
         let exec = Executor::new(Engine::sequential());
         let rule = fd_rule();
-        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name());
+        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name(), None);
         let iso = IsolationOptions {
             max_block_size: Some(2),
             ..IsolationOptions::default()
@@ -796,7 +761,7 @@ mod tests {
         let table = example1();
         let exec = Executor::new(Engine::sequential());
         let rule = fd_rule();
-        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name());
+        let pipeline = crate::physical::pipeline_for_rule(Arc::clone(&rule), table.name(), None);
         let guard = RuleGuard::arm(rule.name(), &IsolationOptions::default());
         let out = exec
             .run_pipeline_guarded(exec.load(&table), &pipeline, Some(&guard))

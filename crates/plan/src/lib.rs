@@ -21,13 +21,19 @@
 //! 3. **Execution layer** ([`executor`]): pipelines run on the
 //!    [`bigdansing_dataflow`] engine (the Spark/Hadoop stand-in),
 //!    checkpointing at stage boundaries under the disk-backed mode.
+//!
+//! Which tuples form a Detect unit within a block is decided once, in
+//! [`candidates`]: the executor's blocking reducers and the incremental
+//! session's per-rule indexes both enumerate through its kernel.
 
+pub mod candidates;
 pub mod consolidate;
 pub mod executor;
 pub mod job;
 pub mod logical;
 pub mod physical;
 
+pub use candidates::{BlockId, CandidateIndex, Placed};
 pub use executor::{DetectOutput, Executor};
 pub use job::Job;
 pub use logical::{Label, LogicalOp, LogicalPlan, OpKind};

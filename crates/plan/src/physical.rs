@@ -17,7 +17,7 @@
 
 use crate::consolidate::consolidate;
 use crate::logical::{LogicalPlan, OpKind};
-use bigdansing_common::Result;
+use bigdansing_common::{LshParams, Result};
 use bigdansing_rules::{OrderCond, Rule, UnitKind};
 use std::sync::Arc;
 
@@ -95,12 +95,15 @@ pub struct PhysicalPlan {
 }
 
 /// Pick the Iterate implementation for a rule (§4.2's enhancer rules).
-pub fn choose_strategy(rule: &dyn Rule) -> IterateStrategy {
+/// `lsh` is a job-level override of the banding geometry: it replaces
+/// the rule's own when the rule declares LSH blocking, and is ignored
+/// otherwise.
+pub fn choose_strategy(rule: &dyn Rule, lsh: Option<LshParams>) -> IterateStrategy {
     match rule.unit_kind() {
         UnitKind::Single => IterateStrategy::SingleUnits,
         UnitKind::List => IterateStrategy::BlockList,
         UnitKind::Pair => {
-            if let Some(p) = rule.lsh() {
+            if let Some(p) = rule.lsh().map(|declared| lsh.unwrap_or(declared)) {
                 IterateStrategy::LshBlocks {
                     bands: p.bands,
                     rows_per_band: p.rows_per_band,
@@ -138,7 +141,7 @@ pub fn translate(plan: LogicalPlan) -> Result<PhysicalPlan> {
             .expect("validated plan: detect has a source");
         let use_scope = plan.find_op(OpKind::Scope, rule.name()).is_some();
         let has_block_op = plan.find_op(OpKind::Block, rule.name()).is_some();
-        let mut strategy = choose_strategy(rule.as_ref());
+        let mut strategy = choose_strategy(rule.as_ref(), None);
         // a rule that *could* block but whose job omitted the Block
         // operator falls back to UCrossProduct (§4.2: used when "users do
         // not provide a matching Block for the Iterate operator")
@@ -169,9 +172,14 @@ pub fn translate(plan: LogicalPlan) -> Result<PhysicalPlan> {
 }
 
 /// Build the standard pipeline for a rule directly (the path used when a
-/// declarative rule is registered without a hand-written job).
-pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> RulePipeline {
-    let strategy = choose_strategy(rule.as_ref());
+/// declarative rule is registered without a hand-written job), with an
+/// optional job-level LSH override (see [`choose_strategy`]).
+pub fn pipeline_for_rule(
+    rule: Arc<dyn Rule>,
+    source: impl Into<String>,
+    lsh: Option<LshParams>,
+) -> RulePipeline {
+    let strategy = choose_strategy(rule.as_ref(), lsh);
     RulePipeline {
         rule,
         source: source.into(),
@@ -185,7 +193,7 @@ pub fn pipeline_for_rule(rule: Arc<dyn Rule>, source: impl Into<String>) -> Rule
 mod tests {
     use super::*;
     use crate::job::Job;
-    use bigdansing_common::{LshParams, Schema, Tuple, Value};
+    use bigdansing_common::{Schema, Tuple, Value};
     use bigdansing_rules::{CfdRule, DcRule, DedupRule, FdRule};
 
     fn schema() -> Schema {
@@ -196,7 +204,7 @@ mod tests {
     fn fd_gets_blocked_unordered_pairs() {
         let fd = FdRule::parse("zipcode -> city", &schema()).unwrap();
         assert_eq!(
-            choose_strategy(&fd),
+            choose_strategy(&fd, None),
             IterateStrategy::BlockPairs { ordered: false }
         );
     }
@@ -204,7 +212,7 @@ mod tests {
     #[test]
     fn inequality_dc_gets_ocjoin() {
         let dc = DcRule::parse("t1.salary > t2.salary & t1.rate < t2.rate", &schema()).unwrap();
-        match choose_strategy(&dc) {
+        match choose_strategy(&dc, None) {
             IterateStrategy::OcJoin(conds) => assert_eq!(conds.len(), 2),
             other => panic!("expected OCJoin, got {other:?}"),
         }
@@ -214,7 +222,7 @@ mod tests {
     fn equality_dc_blocks() {
         let dc = DcRule::parse("t1.city = t2.city & t1.state != t2.state", &schema()).unwrap();
         assert_eq!(
-            choose_strategy(&dc),
+            choose_strategy(&dc, None),
             IterateStrategy::BlockPairs { ordered: false }
         );
     }
@@ -222,7 +230,7 @@ mod tests {
     #[test]
     fn constant_cfd_is_single_units() {
         let cfd = CfdRule::parse("zipcode -> city | zipcode=90210, city=LA", &schema()).unwrap();
-        assert_eq!(choose_strategy(&cfd), IterateStrategy::SingleUnits);
+        assert_eq!(choose_strategy(&cfd, None), IterateStrategy::SingleUnits);
     }
 
     /// Regression for the `with_block_prefix(0)` docstring promise: a
@@ -234,9 +242,9 @@ mod tests {
         let r = DedupRule::new("udf:dedup", 0, 0.8).with_block_prefix(0);
         assert!(!r.blocks(), "prefix 0 must disable the Block operator");
         assert_eq!(r.block(&Tuple::new(1, vec![Value::str("Robert")])), None);
-        assert_eq!(choose_strategy(&r), IterateStrategy::UCrossProduct);
+        assert_eq!(choose_strategy(&r, None), IterateStrategy::UCrossProduct);
         // and the auto-built pipeline agrees end to end
-        let p = pipeline_for_rule(Arc::new(r), "D");
+        let p = pipeline_for_rule(Arc::new(r), "D", None);
         assert_eq!(p.strategy, IterateStrategy::UCrossProduct);
     }
 
@@ -248,7 +256,7 @@ mod tests {
             shingle: 2,
         });
         assert_eq!(
-            choose_strategy(&r),
+            choose_strategy(&r, None),
             IterateStrategy::LshBlocks {
                 bands: 6,
                 rows_per_band: 4
@@ -261,9 +269,28 @@ mod tests {
             .with_block_prefix(0)
             .with_lsh(LshParams::default());
         assert!(matches!(
-            choose_strategy(&r),
+            choose_strategy(&r, None),
             IterateStrategy::LshBlocks { .. }
         ));
+        // a job-level override replaces the declared geometry, and only
+        // for rules that declare LSH blocking
+        let wide = LshParams {
+            bands: 2,
+            rows_per_band: 5,
+            shingle: 3,
+        };
+        assert_eq!(
+            choose_strategy(&r, Some(wide)),
+            IterateStrategy::LshBlocks {
+                bands: 2,
+                rows_per_band: 5
+            }
+        );
+        let fd = FdRule::parse("zipcode -> city", &schema()).unwrap();
+        assert_eq!(
+            choose_strategy(&fd, Some(wide)),
+            IterateStrategy::BlockPairs { ordered: false }
+        );
     }
 
     #[test]

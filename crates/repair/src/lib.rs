@@ -33,7 +33,7 @@ pub mod strategy;
 pub use blackbox::{repair_parallel, repair_serial, RepairAlgorithm};
 pub use equivalence::EquivalenceClassRepair;
 pub use hyper::HypergraphRepair;
-pub use strategy::{run_repair, RepairStrategy};
+pub use strategy::{repair_round, run_repair, FreezeCounter, RepairRound, RepairStrategy};
 
 use bigdansing_common::{Cell, Value};
 use std::collections::HashMap;

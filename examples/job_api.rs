@@ -42,7 +42,10 @@ fn main() {
     // -- enhancer selection per rule class ------------------------------
     println!("\nenhancer choices (§4.2):");
     for (name, rule) in [("FD φF", &fd), ("DC φD", &dc)] {
-        println!("  {name}: {:?}", physical::choose_strategy(rule.as_ref()));
+        println!(
+            "  {name}: {:?}",
+            physical::choose_strategy(rule.as_ref(), None)
+        );
     }
 
     // -- and the auto-generated job for declarative rules ---------------

@@ -31,7 +31,7 @@ fn main() {
     .unwrap();
 
     // the planner's enhancer selection (§4.2)
-    match choose_strategy(&dc) {
+    match choose_strategy(&dc, None) {
         IterateStrategy::OcJoin(conds) => {
             println!("planner: OCJoin with {} ordering conditions", conds.len())
         }
